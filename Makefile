@@ -80,6 +80,8 @@ fuzz:
 fuzz-smoke:
 	$(GO) test ./internal/schedule -fuzz FuzzScheduleEquivalence -fuzztime 10s
 	$(GO) test ./internal/schedule -fuzz FuzzChunkAccess -fuzztime 10s
+	$(GO) test ./internal/schedule -fuzz FuzzReadPlan -fuzztime 10s
+	$(GO) test ./internal/circuit -fuzz FuzzReadText -fuzztime 10s
 	$(GO) test ./internal/ckpt -fuzz FuzzShardDecode -fuzztime 10s
 	$(GO) test ./internal/ckpt -fuzz FuzzManifestDecode -fuzztime 10s
 	$(GO) test ./internal/kernels -fuzz FuzzBitPermutation -fuzztime 10s

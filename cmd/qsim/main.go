@@ -10,7 +10,8 @@
 //	qsim -qubits 24 -ranks 8 -checkpoint-dir ck          # snapshot at stage boundaries
 //	qsim -qubits 24 -ranks 8 -checkpoint-dir ck -resume  # continue after a crash
 //	qsim -qubits 20 -ranks 4 -trace out.json -metrics    # per-rank trace + metrics dump
-//	qsim -qubits 28 -ooc -ooc-chunk 22 -ooc-prefetch 4   # out-of-core, prefetch pipeline
+//	qsim -qubits 28 -ooc -ooc-chunk 22                   # out-of-core, prefetch pipeline (depth 4)
+//	qsim -qubits 28 -ooc -ooc-chunk 22 -ooc-prefetch 0   # out-of-core, reactive one pass per op
 package main
 
 import (
@@ -61,7 +62,7 @@ func main() {
 
 		ooc         = flag.Bool("ooc", false, "run out-of-core: state in a file, processed in chunks")
 		oocChunk    = flag.Int("ooc-chunk", 0, "out-of-core chunk qubits l (2^l amplitudes in memory; default qubits-4)")
-		oocPrefetch = flag.Int("ooc-prefetch", 0, "chunks prefetched ahead of compute (0 = reactive, one pass per op)")
+		oocPrefetch = flag.Int("ooc-prefetch", 4, "chunks prefetched ahead of compute; each stage runs as one fused streamed pass (0 = reactive, one pass per op)")
 		oocDir      = flag.String("ooc-dir", "", "directory for the out-of-core state file (default: system temp)")
 	)
 	flag.Parse()

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"qusim/internal/circuit"
+	"qusim/internal/kernels"
 	"qusim/internal/mpi"
 	"qusim/internal/schedule"
 	"qusim/internal/statevec"
@@ -103,7 +104,9 @@ func RunBaseline(c *circuit.Circuit, opts BaselineOptions) (*Result, error) {
 				sv.Apply(gt.Matrix(), gt.Qubits...)
 			case specialized(gt):
 				op := schedule.DiagonalOp(gt, func(q int) int { return q })
-				applyDiagonal(local, &op, l, cm.Rank())
+				if err := schedule.ApplyBlock(&op, cm.Rank(), &local, &scratch, kernels.Auto); err != nil {
+					return err
+				}
 			case gt.K() == 1:
 				t0 := time.Now()
 				applyGlobalDense1Q(cm, gt, local, scratch, l)
@@ -117,7 +120,9 @@ func RunBaseline(c *circuit.Circuit, opts BaselineOptions) (*Result, error) {
 				// scheme would communicate; we execute it diagonally and
 				// charge one step, mirroring its cost accounting.
 				op := schedule.DiagonalOp(gt, func(q int) int { return q })
-				applyDiagonal(local, &op, l, cm.Rank())
+				if err := schedule.ApplyBlock(&op, cm.Rank(), &local, &scratch, kernels.Auto); err != nil {
+					return err
+				}
 				if cm.Rank() == 0 {
 					cm.AddSteps(1)
 				}

@@ -2,7 +2,8 @@
 // the multi-node layer of Sec. 3.4–3.5 of Häner & Steiger, SC'17. Each rank
 // owns 2^l amplitudes; non-diagonal gates run through the local kernels,
 // diagonal gates on global qubits run via specialization without
-// communication, and global-to-local swaps run as (group-)all-to-alls.
+// communication — both through schedule.ApplyBlock with the rank as the
+// block index — and global-to-local swaps run as (group-)all-to-alls.
 //
 // It also implements the per-gate baseline scheme of [19]/[5] — pairwise
 // half-vector exchanges for every dense gate on a global qubit — used by
@@ -410,23 +411,10 @@ func runAttempt(plan *schedule.Plan, opts Options, l int, meta ckpt.Meta, tryRes
 			// accounting, the profile breakdown and the trace span — so the
 			// three views of "where did the time go" cannot disagree.
 			t0 := time.Now()
-			switch op.Kind {
-			case schedule.OpCluster:
-				applied := kernels.Apply(opts.Variant, local, op.Matrix.Data, op.Positions, scratch)
-				if &applied[0] != &local[0] {
-					local, scratch = applied, local
-				}
-			case schedule.OpDiagonal:
-				applyDiagonal(local, op, l, c.Rank())
-			case schedule.OpLocalPerm:
-				// Single gather pass into the rank's scratch vector — no
-				// allocation, no SwapBits transposition chain.
-				kernels.PermuteInto(scratch, local, kernels.CompileBitPermutation(op.Perm))
-				local, scratch = scratch, local
-			case schedule.OpSwap:
+			if op.Kind == schedule.OpSwap {
 				local, scratch = swapGlobalLocal(c, op, local, scratch, l)
-			default:
-				return fmt.Errorf("dist: unknown op kind %v", op.Kind)
+			} else if err := schedule.ApplyBlock(op, c.Rank(), &local, &scratch, opts.Variant); err != nil {
+				return err
 			}
 			d := time.Since(t0)
 			if op.Kind == schedule.OpSwap {
@@ -660,31 +648,6 @@ func sampleLocal(c *mpi.Comm, plan *schedule.Plan, local []complex128, localNorm
 		out[s] = plan.LogicalIndex(c.Rank()<<l | idx)
 	}
 	return out
-}
-
-// applyDiagonal executes a diagonal op whose positions may include global
-// locations: the rank's bits select the sub-diagonal, and the local part
-// runs through the diagonal kernel (Sec. 3.5 — no communication).
-func applyDiagonal(local []complex128, op *schedule.Op, l, rank int) {
-	// Positions are sorted ascending, so local positions form a prefix.
-	nl := 0
-	for nl < len(op.Positions) && op.Positions[nl] < l {
-		nl++
-	}
-	gbits := 0
-	for j := nl; j < len(op.Positions); j++ {
-		if rank&(1<<(op.Positions[j]-l)) != 0 {
-			gbits |= 1 << (j - nl)
-		}
-	}
-	if nl == 0 {
-		// Pure global diagonal: a per-rank scalar (conditional global
-		// phase).
-		kernels.Scale(local, op.Diag[gbits])
-		return
-	}
-	sub := op.Diag[gbits<<nl : (gbits+1)<<nl]
-	kernels.ApplyDiagonal(local, sub, op.Positions[:nl])
 }
 
 // swapGlobalLocal executes a q-qubit global-to-local swap: local locations

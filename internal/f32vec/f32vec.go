@@ -56,7 +56,7 @@ type Vector struct {
 	// kernels.Auto (the tuned/specialized path).
 	Variant kernels.Variant
 
-	scratch []complex64 // second vector for the Naive variant, lazily made
+	scratch []complex64 // Naive and permutation scratch, lazily made
 }
 
 // New returns |0…0⟩.

@@ -144,7 +144,8 @@ func (m Matrix) Scale(s complex128) Matrix {
 	return out
 }
 
-// IsUnitary reports whether m†m = 1 to within tol (max-norm of the residual).
+// IsUnitary reports whether m†m = 1 to within tol (max-norm of the
+// residual). A NaN entry makes the matrix non-unitary.
 func (m Matrix) IsUnitary(tol float64) bool {
 	p := Mul(m.Dagger(), m)
 	d := m.Dim()
@@ -154,7 +155,7 @@ func (m Matrix) IsUnitary(tol float64) bool {
 			if r == c {
 				want = 1
 			}
-			if cmplx.Abs(p.Data[r*d+c]-want) > tol {
+			if !(cmplx.Abs(p.Data[r*d+c]-want) <= tol) {
 				return false
 			}
 		}

@@ -147,9 +147,10 @@ const permuteTile = 1 << 15
 // PermuteInto writes the permuted state into dst: dst[p.Map(i)] = src[i]
 // for every index, executed as a destination-ordered gather
 // (dst[y] = src[p.MapInverse(y)]). dst and src must have length 2^n and
-// must not alias. This is the single-pass replacement for a SwapBits
-// transposition chain: one read of src plus one write of dst, ≤ 2
-// full-state passes regardless of the permutation.
+// must not alias; the element type is either amplitude precision. This is
+// the single-pass replacement for a SwapBits transposition chain: one read
+// of src plus one write of dst, ≤ 2 full-state passes regardless of the
+// permutation.
 //
 // For states beyond cache size, destinations are visited tile by tile in an
 // order that keeps both y and π⁻¹(y) inside an L2-resident working set: a
@@ -160,7 +161,7 @@ const permuteTile = 1 << 15
 // reads instead of bandwidth-bound.
 //
 //qusim:hot
-func PermuteInto(dst, src []complex128, p *BitPermutation) {
+func PermuteInto[T complexAmp](dst, src []T, p *BitPermutation) {
 	if len(dst) != len(src) || len(src) != 1<<p.n {
 		panic(fmt.Sprintf("kernels: PermuteInto length mismatch: dst %d, src %d, perm 2^%d", len(dst), len(src), p.n))
 	}
@@ -216,6 +217,34 @@ func PermuteInto(dst, src []complex128, p *BitPermutation) {
 			}
 		}
 	})
+}
+
+// Permute applies p to amps in the cheapest form and returns the slice
+// holding the result: amps itself when p is the identity (no pass) or a
+// single transposition (an in-place SwapBits sweep over half the state),
+// otherwise scratch — allocated when nil, so callers can keep it lazily —
+// filled by one PermuteInto gather pass. When amps is longer than 2^p.N(),
+// p relabels the low p.N() index bits: every aligned 2^p.N()-amplitude
+// sub-block is permuted alike.
+func Permute[T complexAmp](amps, scratch []T, p *BitPermutation) []T {
+	if p.Identity() {
+		return amps
+	}
+	if a, b, ok := p.Transposition(); ok {
+		SwapBits(amps, a, b)
+		return amps
+	}
+	if scratch == nil {
+		scratch = make([]T, len(amps))
+	}
+	if len(scratch) != len(amps) {
+		panic(fmt.Sprintf("kernels: Permute scratch has %d amplitudes, state %d", len(scratch), len(amps)))
+	}
+	m := 1 << p.n
+	for off := 0; off < len(amps); off += m {
+		PermuteInto(scratch[off:off+m], amps[off:off+m], p)
+	}
+	return scratch
 }
 
 // PermuteGather fills dst[t] = src[p.MapInverse(base|t)] for t in
@@ -291,7 +320,7 @@ func PermuteGather(dst, src []complex128, p *BitPermutation, base int) {
 // precomputed image of the fixed high bits.
 //
 //qusim:hot
-func gatherRange(dst, src []complex128, inv [][]int, xbase, lo, hi int) {
+func gatherRange[T complexAmp](dst, src []T, inv [][]int, xbase, lo, hi int) {
 	switch len(inv) {
 	case 1:
 		t0 := inv[0]
@@ -318,6 +347,36 @@ func gatherRange(dst, src []complex128, inv [][]int, xbase, lo, hi int) {
 			dst[y] = src[xbase|mapTables(inv, y)]
 		}
 	}
+}
+
+// SwapBits exchanges the amplitudes so that bit positions a and b of the
+// basis index are swapped — the unitary SWAP gate applied as a pure
+// permutation (no arithmetic), touching only the half of the state whose
+// two bits differ. Both positions must index into amps.
+//
+//qusim:hot
+func SwapBits[T complexAmp](amps []T, a, b int) {
+	if a == b {
+		return
+	}
+	if a > b {
+		a, b = b, a
+	}
+	if a < 0 || len(amps)>>b < 2 {
+		panic(fmt.Sprintf("kernels: SwapBits positions %d, %d out of range for %d amplitudes", a, b, len(amps)))
+	}
+	maskA := 1<<a - 1
+	maskB := 1<<b - 1
+	sa, sb := 1<<a, 1<<b
+	par.For(len(amps)>>2, 1024, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
+			base := ((t &^ maskA) << 1) | (t & maskA)
+			base = ((base &^ maskB) << 1) | (base & maskB)
+			i01 := base | sa
+			i10 := base | sb
+			amps[i01], amps[i10] = amps[i10], amps[i01]
+		}
+	})
 }
 
 func popcount(m int) int {

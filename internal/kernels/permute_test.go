@@ -72,6 +72,40 @@ func TestPermuteInto(t *testing.T) {
 	}
 }
 
+// TestPermute checks the three forms Permute picks between — no pass,
+// an in-place SwapBits, a gather into scratch — in both precisions, with
+// the permutation acting on the low bits of every sub-block of a longer
+// state.
+func TestPermute(t *testing.T) {
+	rng := rand.New(rand.NewSource(74))
+	for _, perm := range [][]int{{0, 1, 2, 3}, {0, 3, 2, 1}, rng.Perm(4), {2, 0, 3, 1}} {
+		checkPermute(t, rng, perm, complex128(0))
+		checkPermute(t, rng, perm, complex64(0))
+	}
+}
+
+func checkPermute[T complexAmp](t *testing.T, rng *rand.Rand, perm []int, _ T) {
+	t.Helper()
+	const n = 7 // 2^(n−len(perm)) sub-blocks
+	bp := CompileBitPermutation(perm)
+	src := make([]T, 1<<n)
+	for i := range src {
+		src[i] = T(complex(rng.NormFloat64(), rng.NormFloat64()))
+	}
+	amps := append([]T(nil), src...)
+	out := Permute(amps, nil, bp)
+	inPlace := &out[0] == &amps[0]
+	if _, _, swap := bp.Transposition(); inPlace != (bp.Identity() || swap) {
+		t.Fatalf("perm %v: result in place = %v", perm, inPlace)
+	}
+	low := 1<<len(perm) - 1
+	for i, a := range src {
+		if out[i&^low|naiveMap(perm, i&low)] != a {
+			t.Fatalf("%T perm %v: src[%d] misplaced", a, perm, i)
+		}
+	}
+}
+
 func TestPermuteGather(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 30; trial++ {

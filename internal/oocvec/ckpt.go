@@ -132,9 +132,9 @@ func (v *Vector) RunCheckpointed(plan *schedule.Plan, pol *ckpt.Policy, resume b
 }
 
 // runOneStage executes exactly one stage: through the prefetch pipeline
-// when armed, reactively op by op otherwise. Both orders apply the same
-// per-amplitude operations, so checkpoints taken at the boundary are
-// bitwise identical either way.
+// when armed, reactively op by op otherwise. Both orders hand every chunk
+// the same ops through schedule.ApplyBlock, so checkpoints taken at the
+// boundary are bitwise identical either way.
 func (v *Vector) runOneStage(plan *schedule.Plan, s int) error {
 	if v.prefetch > 0 {
 		return v.runPipelined(plan, s, s+1)

@@ -17,7 +17,9 @@
 // prefetch depth armed (SetPrefetch), Run fuses each stage's local ops
 // into a single streamed pass and overlaps it with asynchronous
 // prefetch/writeback (pipeline.go); at depth 0 it falls back to the
-// reactive one-pass-per-op baseline. Both paths are bitwise identical.
+// reactive one-pass-per-op baseline. Both paths apply every op to a
+// chunk through schedule.ApplyBlock, with the chunk as the block index,
+// so they are bitwise identical.
 package oocvec
 
 import (
@@ -40,12 +42,13 @@ type Vector struct {
 	N int // total qubits
 	L int // in-memory chunk holds 2^L amplitudes
 
-	fs   fsio.FS      // file-ops seam, captured from the package hook at New
-	f    fsio.File    // backing file
-	path string       // backing file path; stable across swap adoptions
-	dir  string       // directory holding the backing and swap files
-	buf  []complex128 // one chunk (reactive path / streaming helpers)
-	raw  []byte       // encoded form of one chunk, reused across I/O calls
+	fs      fsio.FS      // file-ops seam, captured from the package hook at New
+	f       fsio.File    // backing file
+	path    string       // backing file path; stable across swap adoptions
+	dir     string       // directory holding the backing and swap files
+	buf     []complex128 // one chunk: reactive path, streaming helpers, pipeline permutation scratch
+	scratch []complex128 // reactive permutation scratch, made on first use
+	raw     []byte       // encoded form of one chunk, reused across I/O calls
 
 	prefetch    int // chunks read ahead of the compute loop; 0 = reactive
 	ckptSkipped int // checkpoints skipped on persistent ENOSPC (ckpt.go)
@@ -337,68 +340,25 @@ func (v *Vector) ApplyOp(op *schedule.Op) error {
 }
 
 func (v *Vector) applyOp(op *schedule.Op) error {
-	switch op.Kind {
-	case schedule.OpCluster:
-		return v.streamChunks(func(c int, amps []complex128) {
-			kernels.Apply(kernels.Specialized, amps, op.Matrix.Data, op.Positions, nil)
-		})
-	case schedule.OpDiagonal:
-		return v.streamChunks(func(c int, amps []complex128) {
-			applyDiagonalChunk(op, c, v.L, amps)
-		})
-	case schedule.OpLocalPerm:
-		return v.streamChunks(func(c int, amps []complex128) {
-			permuteBits(amps, v.L, op.Perm)
-		})
-	case schedule.OpSwap:
-		if op.Perm != nil {
-			// Fused local permutation: one streamed pass ahead of the
-			// block exchange (the in-memory engine folds this into the
-			// all-to-all; here it rides the chunk stream).
-			if err := v.streamChunks(func(c int, amps []complex128) {
-				permuteBits(amps, v.L, op.Perm)
-			}); err != nil {
+	if op.Kind != schedule.OpSwap || op.Perm != nil {
+		// One streamed read+write pass over every chunk — the access
+		// pattern that makes SSD-backed state practical: the op itself, or
+		// a swap's fused local permutation ahead of the block exchange (the
+		// distributed engine folds that into its all-to-all instead).
+		for c := 0; c < v.Chunks(); c++ {
+			if err := v.readChunk(c, v.buf); err != nil {
+				return err
+			}
+			if err := schedule.ApplyBlock(op, c, &v.buf, &v.scratch, kernels.Auto); err != nil {
+				return err
+			}
+			if err := v.writeChunk(c, v.buf); err != nil {
 				return err
 			}
 		}
+	}
+	if op.Kind == schedule.OpSwap {
 		return v.swap(op)
-	}
-	return fmt.Errorf("oocvec: unknown op kind %v", op.Kind)
-}
-
-// applyDiagonalChunk applies a diagonal op (whose positions may include
-// chunk-index locations ≥ l) to chunk c — shared by the reactive stream
-// and the fused pipeline pass so the two paths are bitwise identical by
-// construction.
-func applyDiagonalChunk(op *schedule.Op, c, l int, amps []complex128) {
-	nl := 0
-	for nl < len(op.Positions) && op.Positions[nl] < l {
-		nl++
-	}
-	gbits := 0
-	for j := nl; j < len(op.Positions); j++ {
-		if c&(1<<(op.Positions[j]-l)) != 0 {
-			gbits |= 1 << (j - nl)
-		}
-	}
-	if nl == 0 {
-		kernels.Scale(amps, op.Diag[gbits])
-		return
-	}
-	kernels.ApplyDiagonal(amps, op.Diag[gbits<<nl:(gbits+1)<<nl], op.Positions[:nl])
-}
-
-// streamChunks runs fn over every chunk with one sequential read+write
-// pass — the access pattern that makes SSD-backed state practical.
-func (v *Vector) streamChunks(fn func(chunk int, amps []complex128)) error {
-	for c := 0; c < v.Chunks(); c++ {
-		if err := v.readChunk(c, v.buf); err != nil {
-			return err
-		}
-		fn(c, v.buf)
-		if err := v.writeChunk(c, v.buf); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -583,42 +543,4 @@ func (v *Vector) Amplitudes() ([]complex128, error) {
 		}
 	}
 	return out, nil
-}
-
-// permuteBits relabels in-chunk bit p to perm[p] (same algorithm as
-// statevec.PermuteBits, on a raw slice).
-func permuteBits(amps []complex128, n int, perm []int) {
-	cur := make([]int, n)
-	loc := make([]int, n)
-	for i := range cur {
-		cur[i] = i
-		loc[i] = i
-	}
-	for p := 0; p < n; p++ {
-		want := perm[p]
-		have := cur[p]
-		if have == want {
-			continue
-		}
-		swapBits(amps, have, want)
-		other := loc[want]
-		cur[p], cur[other] = want, have
-		loc[have], loc[want] = other, p
-	}
-}
-
-func swapBits(amps []complex128, a, b int) {
-	if a > b {
-		a, b = b, a
-	}
-	maskA := 1<<a - 1
-	maskB := 1<<b - 1
-	sa, sb := 1<<a, 1<<b
-	for t := 0; t < len(amps)>>2; t++ {
-		base := ((t &^ maskA) << 1) | (t & maskA)
-		base = ((base &^ maskB) << 1) | (base & maskB)
-		i01 := base | sa
-		i10 := base | sb
-		amps[i01], amps[i10] = amps[i10], amps[i01]
-	}
 }

@@ -62,7 +62,10 @@ func (v *Vector) runPipelined(plan *schedule.Plan, startStage, endStage int) err
 // runStage executes one swap-delimited stage as a single fused streamed
 // pass with asynchronous prefetch and writeback.
 func (v *Vector) runStage(plan *schedule.Plan, sa *schedule.StageAccess) error {
-	stream := make([]*schedule.Op, 0, len(sa.StreamOps))
+	if len(sa.StreamOps) == 0 && !sa.Exchanges() {
+		return nil
+	}
+	stream := make([]*schedule.Op, 0, len(sa.StreamOps)+1)
 	for _, i := range sa.StreamOps {
 		stream = append(stream, &plan.Ops[i])
 	}
@@ -74,9 +77,9 @@ func (v *Vector) runStage(plan *schedule.Plan, sa *schedule.StageAccess) error {
 		if bitPos, err = v.swapGeometry(swapOp); err != nil {
 			return err
 		}
-	}
-	if len(stream) == 0 && swapOp == nil {
-		return nil
+		// Applied to a chunk, the swap op is its fused pre-permutation
+		// (nothing when Perm is nil); the exchange is the writeback's.
+		stream = append(stream, swapOp)
 	}
 
 	var out fsio.File
@@ -108,7 +111,7 @@ func (v *Vector) runStage(plan *schedule.Plan, sa *schedule.StageAccess) error {
 			telemetry.A("stage", sa.Stage),
 			telemetry.A("chunks", v.Chunks()),
 			telemetry.A("ops", len(sa.Ops)),
-			telemetry.A("stream_ops", len(stream)),
+			telemetry.A("stream_ops", len(sa.StreamOps)),
 			telemetry.A("qubits", maskPositions(sa.LocalQubitMask)),
 			telemetry.A("swap", swapOp != nil))
 	}
@@ -138,7 +141,7 @@ func (v *Vector) pumpStage(stream []*schedule.Op, swapOp *schedule.Op, bitPos []
 	halt := func() { stopOnce.Do(func() { close(stop) }) }
 
 	cb := int64(v.chunkBytes())
-	var readErr, writeErr error // owned by their goroutine until the join
+	var readErr, writeErr, computeErr error // owned by their goroutine until the join
 	var wg sync.WaitGroup
 
 	// Prefetch reader: stream chunks into pooled buffers, up to depth
@@ -228,36 +231,36 @@ func (v *Vector) pumpStage(stream []*schedule.Op, swapOp *schedule.Op, bitPos []
 		if b == nil {
 			break // reader halted early; the join below surfaces its error
 		}
-		v.applyChunkOps(b.idx, b.amps, stream, swapOp)
+		if computeErr = v.applyChunkOps(b, stream); computeErr != nil {
+			v.tel.inFlight.Add(-cb)
+			halt()
+			break
+		}
 		dirty <- b
 	}
 	close(dirty)
 	wg.Wait()
+	if computeErr != nil {
+		return computeErr
+	}
 	if readErr != nil {
 		return readErr
 	}
 	return writeErr
 }
 
-// applyChunkOps applies the stage's streamed ops — and a closing swap's
-// fused pre-permutation — to one chunk, in execution order. The per-op
-// math is byte-for-byte the reactive path's (see applyOp /
-// applyDiagonalChunk), so pipelined and reactive runs are bitwise
-// identical.
-func (v *Vector) applyChunkOps(c int, amps []complex128, stream []*schedule.Op, swapOp *schedule.Op) {
-	for _, op := range stream {
-		switch op.Kind {
-		case schedule.OpCluster:
-			kernels.Apply(kernels.Specialized, amps, op.Matrix.Data, op.Positions, nil)
-		case schedule.OpDiagonal:
-			applyDiagonalChunk(op, c, v.L, amps)
-		case schedule.OpLocalPerm:
-			permuteBits(amps, v.L, op.Perm)
+// applyChunkOps applies the stage's streamed ops — ending with a closing
+// swap's fused pre-permutation — to one chunk, in execution order, through
+// the same schedule.ApplyBlock the reactive path calls, so pipelined and
+// reactive runs are bitwise identical. Permutations land in v.buf, which
+// the pipeline leaves idle, and the two slices trade places.
+func (v *Vector) applyChunkOps(b *chunkBuf, ops []*schedule.Op) error {
+	for _, op := range ops {
+		if err := schedule.ApplyBlock(op, b.idx, &b.amps, &v.buf, kernels.Auto); err != nil {
+			return err
 		}
 	}
-	if swapOp != nil && swapOp.Perm != nil {
-		permuteBits(amps, v.L, swapOp.Perm)
-	}
+	return nil
 }
 
 // maskPositions expands a qubit bitmask into the sorted position list used

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Plan serialization. The scheduler's pre-computation "terminates in 1–3
@@ -61,58 +62,108 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 	return p, nil
 }
 
-// validate sanity-checks a deserialized plan.
+// unitaryTol bounds the max-norm residual of M†M − 1 for a decoded cluster
+// matrix and of |d|² − 1 for a decoded diagonal entry: far above the
+// rounding a fused product of exact gates accumulates, far below what could
+// hide a corrupted entry.
+const unitaryTol = 1e-10
+
+// validate checks a deserialized plan against every invariant the executors
+// assume, so a malformed plan fails here instead of panicking in a kernel or
+// silently corrupting the state: position maps and permutations are
+// bijections, cluster and diagonal positions ascend strictly within their
+// range, swaps pair the top local locations with distinct global ones,
+// cluster matrices are unitary and diagonal entries unimodular, and stages
+// never decrease.
 func (p *Plan) validate() error {
-	if p.N < 1 || p.L < 1 || p.L > p.N {
+	if p.N < 1 || p.L < 1 || p.L > p.N || p.N > 62 {
 		return fmt.Errorf("schedule: invalid plan dimensions n=%d l=%d", p.N, p.L)
 	}
-	if len(p.InitialPos) != p.N || len(p.FinalPos) != p.N {
-		return fmt.Errorf("schedule: plan position maps have wrong length")
+	if !isPermutation(p.InitialPos, p.N) || !isPermutation(p.FinalPos, p.N) {
+		return fmt.Errorf("schedule: plan position map is not a permutation of 0…%d", p.N-1)
 	}
-	for _, pos := range [][]int{p.InitialPos, p.FinalPos} {
-		seen := make([]bool, p.N)
-		for _, x := range pos {
-			if x < 0 || x >= p.N || seen[x] {
-				return fmt.Errorf("schedule: plan position map is not a permutation")
-			}
-			seen[x] = true
-		}
-	}
+	stage := 0
 	for i := range p.Ops {
 		op := &p.Ops[i]
+		if op.Stage < stage {
+			return fmt.Errorf("schedule: op %d: stage %d after stage %d", i, op.Stage, stage)
+		}
+		stage = op.Stage
 		switch op.Kind {
 		case OpCluster:
-			if len(op.Matrix.Data) != (1<<len(op.Positions))*(1<<len(op.Positions)) {
-				return fmt.Errorf("schedule: op %d: matrix size mismatch", i)
+			k := len(op.Positions) // k ≤ 30 keeps 1<<(2k) from overflowing
+			if k == 0 || k > 30 || op.Matrix.K != k || len(op.Matrix.Data) != 1<<(2*k) {
+				return fmt.Errorf("schedule: op %d: %d-qubit matrix with %d entries on %d positions", i, op.Matrix.K, len(op.Matrix.Data), k)
 			}
-			for _, pos := range op.Positions {
-				if pos < 0 || pos >= p.L {
-					return fmt.Errorf("schedule: op %d: cluster position %d not local", i, pos)
-				}
+			if !ascending(op.Positions, 0, p.L) {
+				return fmt.Errorf("schedule: op %d: cluster positions %v are not strictly ascending local locations", i, op.Positions)
+			}
+			if !op.Matrix.IsUnitary(unitaryTol) {
+				return fmt.Errorf("schedule: op %d: cluster matrix is not unitary", i)
 			}
 		case OpDiagonal:
 			if len(op.Diag) != 1<<len(op.Positions) {
 				return fmt.Errorf("schedule: op %d: diagonal size mismatch", i)
 			}
-			for _, pos := range op.Positions {
-				if pos < 0 || pos >= p.N {
-					return fmt.Errorf("schedule: op %d: position %d out of range", i, pos)
+			if !ascending(op.Positions, 0, p.N) {
+				return fmt.Errorf("schedule: op %d: diagonal positions %v are not strictly ascending locations", i, op.Positions)
+			}
+			for _, d := range op.Diag {
+				if !(math.Abs(real(d)*real(d)+imag(d)*imag(d)-1) <= unitaryTol) {
+					return fmt.Errorf("schedule: op %d: diagonal entry %v is not unimodular", i, d)
 				}
 			}
 		case OpLocalPerm:
-			if len(op.Perm) != p.L {
-				return fmt.Errorf("schedule: op %d: perm length %d, want %d", i, len(op.Perm), p.L)
+			if !isPermutation(op.Perm, p.L) {
+				return fmt.Errorf("schedule: op %d: perm %v is not a permutation of 0…%d", i, op.Perm, p.L-1)
 			}
 		case OpSwap:
 			if len(op.LocalPos) != len(op.GlobalPos) || len(op.LocalPos) == 0 {
 				return fmt.Errorf("schedule: op %d: unbalanced swap", i)
 			}
-			if op.Perm != nil && len(op.Perm) != p.L {
-				return fmt.Errorf("schedule: op %d: fused perm length %d, want %d", i, len(op.Perm), p.L)
+			// The exchange engines move the top q local locations, in order.
+			q := len(op.LocalPos)
+			for j, pos := range op.LocalPos {
+				if pos != p.L-q+j {
+					return fmt.Errorf("schedule: op %d: swap local positions %v are not the top %d local locations", i, op.LocalPos, q)
+				}
+			}
+			if !distinctIn(op.GlobalPos, p.L, p.N) {
+				return fmt.Errorf("schedule: op %d: swap global positions %v are not distinct locations in [%d,%d)", i, op.GlobalPos, p.L, p.N)
+			}
+			if op.Perm != nil && !isPermutation(op.Perm, p.L) {
+				return fmt.Errorf("schedule: op %d: fused perm %v is not a permutation of 0…%d", i, op.Perm, p.L-1)
 			}
 		default:
 			return fmt.Errorf("schedule: op %d: unknown kind %d", i, int(op.Kind))
 		}
 	}
 	return nil
+}
+
+// isPermutation reports whether perm is a bijection on [0, n).
+func isPermutation(perm []int, n int) bool {
+	return len(perm) == n && distinctIn(perm, 0, n)
+}
+
+// distinctIn reports whether the xs are pairwise distinct and in [lo, hi).
+func distinctIn(xs []int, lo, hi int) bool {
+	seen := make([]bool, hi-lo)
+	for _, x := range xs {
+		if x < lo || x >= hi || seen[x-lo] {
+			return false
+		}
+		seen[x-lo] = true
+	}
+	return true
+}
+
+// ascending reports whether xs ascend strictly within [lo, hi).
+func ascending(xs []int, lo, hi int) bool {
+	for j, x := range xs {
+		if x < lo || x >= hi || (j > 0 && xs[j-1] >= x) {
+			return false
+		}
+	}
+	return true
 }

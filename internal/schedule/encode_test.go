@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"qusim/internal/gate"
 	"qusim/internal/statevec"
 )
 
@@ -66,5 +67,53 @@ func TestReadPlanValidates(t *testing.T) {
 	}
 	if _, err := ReadPlan(&buf); err == nil {
 		t.Error("non-permutation position map accepted")
+	}
+}
+
+// TestReadPlanRejectsMalformedOps feeds ReadPlan plans whose ops break an
+// invariant the executors rely on; every one used to decode and then panic
+// in a kernel or run silently wrong.
+func TestReadPlanRejectsMalformedOps(t *testing.T) {
+	h := gate.H()
+	cz := []complex128{1, 1, 1, -1}
+	cases := []struct {
+		name string
+		op   Op
+	}{
+		{"perm not a bijection", Op{Kind: OpLocalPerm, Perm: []int{0, 0, 1}}},
+		{"swap global position out of range", Op{Kind: OpSwap, LocalPos: []int{2}, GlobalPos: []int{7}}},
+		{"duplicate diagonal positions", Op{Kind: OpDiagonal, Diag: cz, Positions: []int{1, 1}}},
+		{"unsorted cluster positions", Op{Kind: OpCluster, Matrix: gate.Kron(h, h), Positions: []int{2, 0}}},
+		{"swap local position not local", Op{Kind: OpSwap, LocalPos: []int{3}, GlobalPos: []int{3}}},
+		{"swap local positions not the top ones", Op{Kind: OpSwap, LocalPos: []int{0}, GlobalPos: []int{3}}},
+		{"duplicate swap global positions", Op{Kind: OpSwap, LocalPos: []int{1, 2}, GlobalPos: []int{3, 3}}},
+		{"fused perm not a bijection", Op{Kind: OpSwap, LocalPos: []int{2}, GlobalPos: []int{3}, Perm: []int{1, 2, 3}}},
+		{"non-unitary cluster matrix", Op{Kind: OpCluster, Matrix: h.Scale(2), Positions: []int{0}}},
+		{"matrix arity mismatch", Op{Kind: OpCluster, Matrix: h, Positions: []int{0, 1}}},
+		{"non-unimodular diagonal", Op{Kind: OpDiagonal, Diag: []complex128{1, 0.5}, Positions: []int{3}}},
+		{"stage goes backwards", Op{Kind: OpDiagonal, Diag: cz, Positions: []int{0, 3}, Stage: -1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ok := Op{Kind: OpCluster, Matrix: h, Positions: []int{0}}
+			p := &Plan{N: 4, L: 3, Ops: []Op{ok, tc.op},
+				InitialPos: []int{0, 1, 2, 3}, FinalPos: []int{0, 1, 2, 3}}
+			var buf bytes.Buffer
+			if err := WritePlan(&buf, p); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadPlan(&buf); err == nil {
+				t.Errorf("malformed op %+v accepted", tc.op)
+			}
+			// The same plan without the malformed op decodes.
+			p.Ops = p.Ops[:1]
+			buf.Reset()
+			if err := WritePlan(&buf, p); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadPlan(&buf); err != nil {
+				t.Errorf("well-formed remainder rejected: %v", err)
+			}
+		})
 	}
 }

@@ -1,6 +1,8 @@
 package schedule
 
 import (
+	"bytes"
+	"math"
 	"math/cmplx"
 	"testing"
 
@@ -62,6 +64,37 @@ func FuzzScheduleEquivalence(f *testing.F) {
 				t.Fatalf("n=%d gates=%d l=%d seed=%d: amplitude %d deviates by %g\n%s",
 					n, gates, l, seed, b, d, plan.Summary())
 			}
+		}
+	})
+}
+
+// FuzzReadPlan fuzzes the plan decoder with the oracle "decodes ⇒ runs":
+// any byte string ReadPlan accepts must execute on a small state without a
+// panic and keep the state normalized. A plan that decodes but cannot run
+// is a missing check in validate; the corpus entry is the reproducer.
+func FuzzReadPlan(f *testing.F) {
+	for i, c := range []*circuit.Circuit{supremacy(9, 8, 91), circuit.RandomCircuit(6, 40, 3)} {
+		plan, err := Build(c, DefaultOptions(4+i))
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WritePlan(&buf, plan); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		plan, err := ReadPlan(bytes.NewReader(data))
+		if err != nil || plan.N > 12 {
+			return
+		}
+		v := statevec.NewUniform(plan.N)
+		if err := plan.Run(v); err != nil {
+			t.Fatalf("decoded plan fails to run: %v\n%s", err, plan.Summary())
+		}
+		if d := math.Abs(v.Norm() - 1); !(d <= 1e-9) {
+			t.Fatalf("decoded plan changes the norm by %g\n%s", d, plan.Summary())
 		}
 	})
 }

@@ -76,7 +76,10 @@ type Stats struct {
 	Stages      int
 	Swaps       int // global-to-local swaps (communication steps)
 	Clusters    int // fused-gate kernel invocations
-	DiagonalOps int // specialized diagonal executions (incl. global ones)
+	// DiagonalOps counts the diagonals specialized across global
+	// locations (Sec. 3.5); diagonal clusters on local locations count
+	// under Clusters.
+	DiagonalOps int
 	LocalPerms  int
 	// FusedPerms counts the local permutations folded into their adjacent
 	// global-to-local swap (a subset of LocalPerms).
@@ -131,42 +134,25 @@ func (p *Plan) Run(v *statevec.Vector) error {
 
 // RunFrom executes only the ops with Stage ≥ startStage — the resume path
 // of a checkpointed run, where v was restored from a snapshot taken at the
-// stage-startStage boundary.
+// stage-startStage boundary. The whole vector is one block of ApplyBlock;
+// a swap's exchange is a SwapBits sweep per swapped pair.
 func (p *Plan) RunFrom(v *statevec.Vector, startStage int) error {
 	if v.N != p.N {
 		return fmt.Errorf("schedule: plan is for %d qubits, state has %d", p.N, v.N)
 	}
+	var scratch []complex128 // allocated by the first op that needs it
 	for i := range p.Ops {
 		op := &p.Ops[i]
 		if op.Stage < startStage {
 			continue
 		}
-		switch op.Kind {
-		case OpCluster:
-			v.ApplyDense(op.Matrix, op.Positions...)
-		case OpDiagonal:
-			v.ApplyDiagonal(op.Diag, op.Positions...)
-		case OpLocalPerm:
-			perm := make([]int, p.N)
-			copy(perm, op.Perm)
-			for q := p.L; q < p.N; q++ {
-				perm[q] = q
-			}
-			v.PermuteBits(perm)
-		case OpSwap:
-			if op.Perm != nil {
-				perm := make([]int, p.N)
-				copy(perm, op.Perm)
-				for q := p.L; q < p.N; q++ {
-					perm[q] = q
-				}
-				v.PermuteBits(perm)
-			}
+		if err := ApplyBlock(op, 0, &v.Amps, &scratch, v.Variant); err != nil {
+			return err
+		}
+		if op.Kind == OpSwap {
 			for j := range op.LocalPos {
 				v.SwapBits(op.LocalPos[j], op.GlobalPos[j])
 			}
-		default:
-			return fmt.Errorf("schedule: unknown op kind %v", op.Kind)
 		}
 	}
 	return nil

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"qusim/internal/kernels"
-	"qusim/internal/par"
 )
 
 // Qubit-relabeling kernels. The distributed scheme of Sec. 3.4 swaps
@@ -16,63 +15,27 @@ import (
 // SwapBits exchanges the amplitudes so that bit positions a and b of the
 // basis index are swapped — the unitary SWAP gate applied as a pure
 // permutation (no arithmetic).
-//
-//qusim:hot
-func (v *Vector) SwapBits(a, b int) {
-	if a == b {
-		return
-	}
-	if a > b {
-		a, b = b, a
-	}
-	if b >= v.N {
-		panic(fmt.Sprintf("statevec: SwapBits position %d out of range for n=%d", b, v.N))
-	}
-	maskA := 1<<a - 1
-	maskB := 1<<b - 1
-	sa, sb := 1<<a, 1<<b
-	amps := v.Amps
-	par.For(len(amps)>>2, 1024, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			base := ((t &^ maskA) << 1) | (t & maskA)
-			base = ((base &^ maskB) << 1) | (base & maskB)
-			i01 := base | sa
-			i10 := base | sb
-			amps[i01], amps[i10] = amps[i10], amps[i01]
-		}
-	})
-}
+func (v *Vector) SwapBits(a, b int) { kernels.SwapBits(v.Amps, a, b) }
 
 // PermuteBits relabels bit position p to perm[p] for every amplitude:
 // new index bit perm[p] = old index bit p. perm must be a permutation of
 // 0…n−1.
 //
-// The permutation is compiled into per-shift-distance bit masks and
-// executed as a single gather pass into the scratch vector (one read of the
-// state plus one write — ≤ 2 full-state passes however many bits move),
-// replacing the transposition chain that cost one half-state sweep per
-// 2-cycle step. A lone transposition still runs through SwapBits, which
-// touches only half the amplitudes and needs no scratch.
+// The permutation is compiled into per-byte lookup tables and executed by
+// kernels.Permute: a single gather pass into the scratch vector (one read
+// of the state plus one write — ≤ 2 full-state passes however many bits
+// move), or an in-place SwapBits sweep over half the amplitudes for a lone
+// transposition. The scratch vector is allocated on first use; its first
+// touch happens inside the gather pass, under the same par chunking as
+// every later sweep, so the NUMA placement story of Sec. 3.3 is unchanged.
 func (v *Vector) PermuteBits(perm []int) {
 	if len(perm) != v.N {
 		panic(fmt.Sprintf("statevec: PermuteBits got %d entries for n=%d", len(perm), v.N))
 	}
-	bp := kernels.CompileBitPermutation(perm)
-	if bp.Identity() {
-		return
+	out := kernels.Permute(v.Amps, v.scratch, kernels.CompileBitPermutation(perm))
+	if &out[0] != &v.Amps[0] {
+		v.Amps, v.scratch = out, v.Amps
 	}
-	if a, b, ok := bp.Transposition(); ok {
-		v.SwapBits(a, b)
-		return
-	}
-	if v.scratch == nil {
-		// First touch happens inside the gather pass, under the same par
-		// chunking as every later sweep — the NUMA placement story of
-		// Sec. 3.3 is unchanged.
-		v.scratch = make([]complex128, len(v.Amps))
-	}
-	kernels.PermuteInto(v.scratch, v.Amps, bp)
-	v.Amps, v.scratch = v.scratch, v.Amps
 }
 
 // PermuteBitsSwapChain is the pre-optimization implementation of
