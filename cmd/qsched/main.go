@@ -23,7 +23,7 @@ func main() {
 		qubits = flag.Int("qubits", 42, "number of qubits")
 		depth  = flag.Int("depth", 25, "circuit depth (clock cycles after the Hadamard layer)")
 		local  = flag.Int("local", 30, "local qubits per rank (l)")
-		kmax   = flag.Int("kmax", 4, "maximum fused-gate size")
+		kmax   = flag.Int("kmax", 0, "upper bound on fused-gate size; smaller clusters are chosen when the cost table says they are faster (0 = the default qsim runs: 5, clamped to -local; at most 5, the cost table's range)")
 		seed   = flag.Int64("seed", 0, "random seed")
 		spec1q = flag.Bool("spec1q", false, "specialize diagonal 1-qubit gates (median-hard mode)")
 		policy = flag.String("policy", "greedy", "swap policy: greedy or lowest-order")
@@ -37,7 +37,9 @@ func main() {
 		Rows: r, Cols: c, Depth: *depth, Seed: *seed, SkipInitialH: true,
 	})
 	opts := schedule.DefaultOptions(*local)
-	opts.KMax = *kmax
+	if *kmax != 0 {
+		opts.KMax = *kmax
+	}
 	opts.SpecializeDiagonal1Q = *spec1q
 	switch *policy {
 	case "greedy":
@@ -57,8 +59,8 @@ func main() {
 	fmt.Printf("circuit: %d qubits (%dx%d grid), depth %d, %d gates\n", circ.N, r, c, *depth, len(circ.Gates))
 	fmt.Printf("layout:  %d local / %d global qubits (%d ranks)\n", plan.L, plan.N-plan.L, 1<<(plan.N-plan.L))
 	fmt.Printf("stages:  %d, global-to-local swaps: %d\n", s.Stages, s.Swaps)
-	fmt.Printf("clusters: %d (%.2f gates/cluster), diagonal specializations: %d\n",
-		s.Clusters, s.GatesPerCluster, s.DiagonalOps)
+	fmt.Printf("clusters: %d (%d diagonal, %.2f gates/cluster), diagonal specializations: %d, state passes: %d\n",
+		s.Clusters, s.DiagonalClusters, s.GatesPerCluster, s.DiagonalOps, len(plan.Ops))
 	var sizes []int
 	for k := range s.ClusterSizes {
 		sizes = append(sizes, k)

@@ -39,7 +39,7 @@ func main() {
 		depth     = flag.Int("depth", 25, "supremacy circuit depth (clock cycles after the Hadamard layer)")
 		seed      = flag.Int64("seed", 0, "random seed")
 		ranks     = flag.Int("ranks", 1, "simulated MPI ranks (power of two)")
-		kmax      = flag.Int("kmax", 5, "maximum fused-gate size (clamped to local qubits)")
+		kmax      = flag.Int("kmax", schedule.DefaultOptions(0).KMax, "upper bound on fused-gate size (at most 5, the cost table's range; clamped to local qubits); smaller clusters are chosen when the cost table says they are faster")
 		f32       = flag.Bool("f32", false, "single-precision (complex64) state vector — half the memory per amplitude, single node only")
 		baseline  = flag.Bool("baseline", false, "use the per-gate scheme of [5] instead of scheduling")
 		spec1q    = flag.Bool("spec1q", false, "specialize diagonal 1-qubit gates (median-hard mode)")
@@ -325,9 +325,7 @@ func runOutOfCore(circ *circuit.Circuit, tel *telemetry.Telemetry, o oocOptions)
 	fmt.Printf("circuit: %d qubits, %d gates\n", circ.N, len(circ.Gates))
 	fmt.Printf("ooc:     2^%d chunks of 2^%d amplitudes (%.1f MB each), prefetch %d\n",
 		plan.N-plan.L, plan.L, float64(uint64(16)<<plan.L)/1e6, v.Prefetch())
-	fmt.Printf("plan:    %d stages, %d swaps, %d clusters (%.1f gates/cluster), %d diag ops\n",
-		plan.Stats.Stages, plan.Stats.Swaps, plan.Stats.Clusters,
-		plan.Stats.GatesPerCluster, plan.Stats.DiagonalOps)
+	printPlan(plan)
 	fmt.Printf("result:  norm=%.12f entropy=%.6f nats\n", norm, ent)
 	fmt.Printf("time:    %.3fs total\n", elapsed.Seconds())
 	if reg := tel.Registry(); reg != nil {
@@ -347,6 +345,15 @@ func runOutOfCore(circ *circuit.Circuit, tel *telemetry.Telemetry, o oocOptions)
 		}
 		fmt.Printf("ckpt:    %d snapshots committed, %s\n", written, resumedFrom)
 	}
+}
+
+// printPlan prints the plan line: clusters with how many of them run as
+// diagonal passes, the globally specialized diagonals, and the state
+// passes the executors make (one per op).
+func printPlan(plan *schedule.Plan) {
+	s := plan.Stats
+	fmt.Printf("plan:    %d stages, %d swaps, %d clusters (%d diagonal, %.1f gates/cluster), %d global diag ops, %d state passes\n",
+		s.Stages, s.Swaps, s.Clusters, s.DiagonalClusters, s.GatesPerCluster, s.DiagonalOps, len(plan.Ops))
 }
 
 // clampKMax bounds the -kmax flag by the local-qubit count so small runs
@@ -396,9 +403,7 @@ func runF32(circ *circuit.Circuit, kmax int, spec1q bool, planFile string, verbo
 	fmt.Printf("circuit: %d qubits, %d gates\n", circ.N, len(circ.Gates))
 	fmt.Printf("f32:     2^%d complex64 amplitudes, %.1f MB (%.1f MB in double precision)\n",
 		circ.N, float64(uint64(f32vec.BytesPerAmplitude)<<circ.N)/1e6, float64(uint64(16)<<circ.N)/1e6)
-	fmt.Printf("plan:    %d stages, %d swaps, %d clusters (%.1f gates/cluster), %d diag ops\n",
-		plan.Stats.Stages, plan.Stats.Swaps, plan.Stats.Clusters,
-		plan.Stats.GatesPerCluster, plan.Stats.DiagonalOps)
+	printPlan(plan)
 	fmt.Printf("result:  norm=%.7f entropy=%.6f nats\n", v.Norm(), v.Entropy())
 	fmt.Printf("time:    %.3fs total\n", elapsed.Seconds())
 }
@@ -434,9 +439,7 @@ func report(c *circuit.Circuit, res *dist.Result, plan *schedule.Plan) {
 	fmt.Printf("circuit: %d qubits, %d gates\n", c.N, len(c.Gates))
 	fmt.Printf("ranks:   %d (2^%d amplitudes each)\n", res.Ranks, res.LocalQubits)
 	if plan != nil {
-		fmt.Printf("plan:    %d stages, %d swaps, %d clusters (%.1f gates/cluster), %d diag ops\n",
-			plan.Stats.Stages, plan.Stats.Swaps, plan.Stats.Clusters,
-			plan.Stats.GatesPerCluster, plan.Stats.DiagonalOps)
+		printPlan(plan)
 	}
 	fmt.Printf("result:  norm=%.12f entropy=%.6f nats\n", res.Norm, res.Entropy)
 	fmt.Printf("time:    %.3fs total, %.3fs comm (%.1f%%)\n",

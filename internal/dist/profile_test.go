@@ -23,11 +23,15 @@ func TestProfileBreakdown(t *testing.T) {
 	for _, e := range res.Profile {
 		byKind[e.Kind] = e
 	}
-	if byKind["cluster"].Ops != plan.Stats.Clusters-countDiagClusters(plan) {
-		// Clusters that fused to diagonal matrices execute as diag ops;
-		// the cluster profile entry counts OpCluster executions.
-		t.Logf("cluster ops %d vs plan clusters %d (diagonal-fused clusters run as diag)",
-			byKind["cluster"].Ops, plan.Stats.Clusters)
+	// Diagonal clusters execute as diag ops, next to the specialized
+	// global diagonals; the profile and the plan stats must agree.
+	st := plan.Stats
+	if got, want := byKind["cluster"].Ops, st.Clusters-st.DiagonalClusters; got != want {
+		t.Errorf("profiled cluster ops %d, plan has %d dense clusters", got, want)
+	}
+	if got, want := byKind["diag"].Ops, st.DiagonalClusters+st.DiagonalOps; got != want {
+		t.Errorf("profiled diag ops %d, plan has %d diagonal clusters + %d global diagonals",
+			got, st.DiagonalClusters, st.DiagonalOps)
 	}
 	if byKind["swap"].Ops != plan.Stats.Swaps {
 		t.Errorf("profiled swap ops %d, plan says %d", byKind["swap"].Ops, plan.Stats.Swaps)
@@ -43,14 +47,4 @@ func TestProfileBreakdown(t *testing.T) {
 	if res2.Profile != nil {
 		t.Error("profile produced without Options.Profile")
 	}
-}
-
-func countDiagClusters(plan *schedule.Plan) int {
-	n := 0
-	for _, op := range plan.Ops {
-		if op.Kind == schedule.OpDiagonal && op.GateCount > 1 {
-			n++
-		}
-	}
-	return n
 }

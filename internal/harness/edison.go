@@ -44,7 +44,7 @@ func edison36(w io.Writer, cfg Config) error {
 	}
 	r, c := circuit.GridForQubits(n)
 	circ := circuit.Supremacy(circuit.SupremacyOptions{Rows: r, Cols: c, Depth: 25, Seed: cfg.Seed, SkipInitialH: true})
-	plan, err := schedule.Build(circ, schedule.DefaultOptions(n-3))
+	plan, err := schedule.Build(circ, paperOptions(n-3))
 	if err != nil {
 		return err
 	}

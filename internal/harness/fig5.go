@@ -30,7 +30,7 @@ func swapCounts(n, depth int, seed int64, locals []int, worstCase bool) (map[int
 		if l > n {
 			continue
 		}
-		opts := schedule.DefaultOptions(l)
+		opts := paperOptions(l)
 		opts.Mapping = schedule.MapIdentity // mapping does not change counts
 		opts.SpecializeDiagonal1Q = !worstCase
 		plan, err := schedule.Build(circ, opts)

@@ -12,6 +12,8 @@ import (
 	"io"
 	"sort"
 	"text/tabwriter"
+
+	"qusim/internal/schedule"
 )
 
 // Config tunes experiment sizes.
@@ -28,6 +30,15 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func(w io.Writer, cfg Config) error
+}
+
+// paperOptions is DefaultOptions on the paper's machine: a flat pass-cost
+// table, so clusters grow to KMax as in Sec. 3.6.1. The experiments that
+// reproduce the paper's cluster, swap and time figures schedule with it.
+func paperOptions(l int) schedule.Options {
+	o := schedule.DefaultOptions(l)
+	o.PassCost = nil
+	return o
 }
 
 var registry []Experiment

@@ -42,7 +42,7 @@ func table1(w io.Writer, cfg Config) error {
 		row := []any{n, fmt.Sprintf("%d (%d)", len(circ.Gates), p.gates)}
 		var lastGPC float64
 		for i, kmax := range []int{3, 4, 5} {
-			opts := schedule.DefaultOptions(30)
+			opts := paperOptions(30)
 			opts.KMax = kmax
 			plan, err := schedule.Build(circ, opts)
 			if err != nil {

@@ -135,7 +135,11 @@ func buildStats(t *testing.T, n, depth, l int) schedule.Stats {
 	t.Helper()
 	r, c := circuit.GridForQubits(n)
 	circ := circuit.Supremacy(circuit.SupremacyOptions{Rows: r, Cols: c, Depth: depth, Seed: 0, SkipInitialH: true})
-	plan, err := schedule.Build(circ, schedule.DefaultOptions(l))
+	// The KNL projection models the paper's bandwidth-bound kernels, where
+	// every merge pays: schedule with the flat pass-cost table.
+	opts := schedule.DefaultOptions(l)
+	opts.PassCost = nil
+	plan, err := schedule.Build(circ, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

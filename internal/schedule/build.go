@@ -575,6 +575,7 @@ func (b *builder) emitCluster(gates []int) {
 	if fused.IsDiagonal(1e-14) {
 		// Execution optimization: a cluster of purely diagonal gates runs
 		// through the diagonal kernel (it still counts as one cluster).
+		b.stats.DiagonalClusters++
 		b.ops = append(b.ops, Op{
 			Kind: OpDiagonal, Diag: fused.Diagonal(), Positions: positions,
 			GateCount: len(gates), Stage: b.stage,
@@ -629,6 +630,7 @@ func (b *builder) emitDiag(gi int, countAsCluster bool) {
 	b.ops = append(b.ops, op)
 	if countAsCluster {
 		b.stats.Clusters++
+		b.stats.DiagonalClusters++
 		b.stats.ClusterSizes[len(g.Qubits)]++
 		b.gatesInClusters++
 		b.clusterQubitSets = append(b.clusterQubitSets, append([]int(nil), g.Qubits...))

@@ -7,7 +7,10 @@
 // package dist.
 package schedule
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // SwapPolicy selects how the residency set of the next stage is chosen at a
 // global-to-local swap.
@@ -66,8 +69,18 @@ type Options struct {
 	// communication.
 	LocalQubits int
 	// KMax is the largest fused-gate size the clustering may build
-	// (Table 1 evaluates 3, 4 and 5).
+	// (Table 1 evaluates 3, 4 and 5). It is an upper bound: with a
+	// PassCost table the clusterer stops short of it when the larger pass
+	// would cost more than the passes it replaces.
 	KMax int
+	// PassCost prices one pass over the state in ns per amplitude:
+	// PassCost[0] is a diagonal op of any size (it runs through the
+	// diagonal kernel), PassCost[k] a dense k-qubit cluster, for every
+	// k ≤ KMax. The clusterer admits a gate into a cluster only when
+	// cost(merged) ≤ cost(cluster) + cost(gate alone). nil prices every
+	// pass the same — the paper's bandwidth-bound machine, where every
+	// merge pays and clusters grow to KMax.
+	PassCost []float64
 	// SpecializeDiagonal2Q enables executing diagonal two-qubit gates (CZ)
 	// on global qubits without communication (Sec. 3.5). The paper's stage
 	// finder always uses this.
@@ -96,12 +109,13 @@ type Options struct {
 	NoSeedSearch bool
 }
 
-// DefaultOptions returns the configuration the paper's results use:
-// greedy swap search, CZ specialization, worst-case dense single-qubit
-// gates, clustering with kmax = 5 (the largest fused-gate size Table 1
-// evaluates, matching the k ≤ 5 specialized kernels), boundary adjustment
-// and heuristic mapping. KMax is clamped to localQubits so tiny local
-// windows still validate.
+// DefaultOptions returns the default configuration: the paper's greedy
+// swap search, CZ specialization, worst-case dense single-qubit gates,
+// boundary adjustment and heuristic mapping, with clustering bounded by
+// kmax = 5 (the largest fused-gate size Table 1 evaluates, matching the
+// k ≤ 5 specialized kernels) and priced by this code's measured pass-cost
+// table. KMax is clamped to localQubits so tiny local windows still
+// validate. The paper's cluster counts need PassCost = nil.
 func DefaultOptions(localQubits int) Options {
 	kmax := 5
 	if localQubits >= 1 && localQubits < kmax {
@@ -120,6 +134,14 @@ func DefaultOptions(localQubits int) Options {
 		AdjustBoundaries:     true,
 		Mapping:              MapHeuristic,
 		Clustering:           true,
+		// The complex128 kernels' ns per amplitude (index 0 diagonal,
+		// 1…5 dense k), as `bash perfbench/run.sh --trace 1` reports them
+		// (kernels.f64.diag_ns_per_amp, kernels.f64.k1…k5_ns_per_amp) on
+		// a 2-core x86-64 VM with the scalar Go kernels. Dense passes stop
+		// being bandwidth-bound at k = 3 there, so dense clusters stay at
+		// k ≤ 2 while diagonal ones grow to KMax. A constant, not a live
+		// measurement, so a plan rebuilds identically on resume.
+		PassCost: []float64{3.55, 2.65, 3.86, 9.85, 17.4, 40.5},
 	}
 }
 
@@ -136,6 +158,14 @@ func (o Options) validate(n int) error {
 	}
 	if o.KMax > l {
 		return fmt.Errorf("schedule: KMax %d exceeds local qubits %d", o.KMax, l)
+	}
+	if o.PassCost != nil && len(o.PassCost) <= o.KMax {
+		return fmt.Errorf("schedule: PassCost prices k ≤ %d, KMax is %d", len(o.PassCost)-1, o.KMax)
+	}
+	for k, c := range o.PassCost {
+		if !(c > 0) || math.IsInf(c, 1) {
+			return fmt.Errorf("schedule: PassCost[%d] = %v, want a finite cost > 0", k, c)
+		}
 	}
 	return nil
 }

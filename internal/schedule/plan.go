@@ -78,9 +78,13 @@ type Stats struct {
 	Clusters    int // fused-gate kernel invocations
 	// DiagonalOps counts the diagonals specialized across global
 	// locations (Sec. 3.5); diagonal clusters on local locations count
-	// under Clusters.
+	// under Clusters and DiagonalClusters.
 	DiagonalOps int
-	LocalPerms  int
+	// DiagonalClusters counts the clusters that run as an OpDiagonal pass
+	// on local locations: fused clusters of diagonal gates and singleton
+	// diagonal gates (a subset of Clusters).
+	DiagonalClusters int
+	LocalPerms       int
 	// FusedPerms counts the local permutations folded into their adjacent
 	// global-to-local swap (a subset of LocalPerms).
 	FusedPerms int
@@ -186,8 +190,9 @@ func (p *Plan) LogicalIndex(physical int) int {
 // Summary renders the per-stage structure for the qsched tool.
 func (p *Plan) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "plan: n=%d l=%d stages=%d swaps=%d clusters=%d diag-ops=%d gates=%d\n",
-		p.N, p.L, p.Stats.Stages, p.Stats.Swaps, p.Stats.Clusters, p.Stats.DiagonalOps, p.Stats.Gates)
+	fmt.Fprintf(&b, "plan: n=%d l=%d stages=%d swaps=%d clusters=%d (%d diagonal) diag-ops=%d passes=%d gates=%d\n",
+		p.N, p.L, p.Stats.Stages, p.Stats.Swaps, p.Stats.Clusters, p.Stats.DiagonalClusters,
+		p.Stats.DiagonalOps, len(p.Ops), p.Stats.Gates)
 	stage := -1
 	for _, op := range p.Ops {
 		if op.Stage != stage {

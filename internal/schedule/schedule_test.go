@@ -189,6 +189,7 @@ func TestClusteringMergesMoreThanKMaxGates(t *testing.T) {
 	for _, kmax := range []int{3, 4, 5} {
 		opts := DefaultOptions(30)
 		opts.KMax = kmax
+		opts.PassCost = nil // the paper's machine: every merge pays
 		plan, err := Build(c, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -389,6 +390,22 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := Build(c, Options{LocalQubits: 3, KMax: 5}); err == nil {
 		t.Error("KMax > l accepted")
 	}
+	for name, cost := range map[string][]float64{
+		"NaN entry":     {1, 1, math.NaN(), 1},
+		"+Inf entry":    {1, 1, 1, math.Inf(1)},
+		"-Inf entry":    {math.Inf(-1), 1, 1, 1},
+		"zero entry":    {1, 0, 1, 1},
+		"negative":      {1, 1, -2, 1},
+		"short of KMax": {1, 1, 1},
+		"empty":         {},
+	} {
+		if _, err := Build(c, Options{LocalQubits: 5, KMax: 3, PassCost: cost}); err == nil {
+			t.Errorf("PassCost %s (%v) accepted", name, cost)
+		}
+	}
+	if _, err := Build(c, Options{LocalQubits: 5, KMax: 3, PassCost: []float64{1, 2, 3, 4}}); err != nil {
+		t.Errorf("PassCost covering k ≤ KMax rejected: %v", err)
+	}
 }
 
 func TestStatsGateCoverage(t *testing.T) {
@@ -487,7 +504,9 @@ func TestDefaultOptionsKMaxFive(t *testing.T) {
 func TestPlanEquivalenceKMaxFive(t *testing.T) {
 	c := supremacy(12, 16, 6)
 	for _, l := range []int{8, 12} {
-		plan := assertPlanEquivalent(t, c, DefaultOptions(l))
+		opts := DefaultOptions(l)
+		opts.PassCost = nil // the paper's machine: clusters grow to KMax
+		plan := assertPlanEquivalent(t, c, opts)
 		sawFive := false
 		for i := range plan.Ops {
 			op := &plan.Ops[i]
@@ -501,6 +520,96 @@ func TestPlanEquivalenceKMaxFive(t *testing.T) {
 		}
 		if !sawFive {
 			t.Errorf("l=%d: kmax=5 plan built no 5-qubit cluster on a depth-16 circuit", l)
+		}
+	}
+}
+
+// planCost sums the pass costs of a plan's cluster and diagonal ops under
+// the table cost.
+func planCost(p *Plan, cost []float64) float64 {
+	var sum float64
+	for i := range p.Ops {
+		switch op := &p.Ops[i]; op.Kind {
+		case OpCluster:
+			sum += cost[len(op.Positions)]
+		case OpDiagonal:
+			sum += cost[0]
+		}
+	}
+	return sum
+}
+
+// TestCostModelNeverPricedAboveFlat checks that pricing merges never makes
+// a plan dearer than the paper's greedy at the same KMax, measured with
+// the same table, that both plans stay exact, and that the default table
+// keeps dense clusters of one- and two-qubit gates at k ≤ 2 (a dense k=3
+// pass costs more than any two passes it could replace).
+func TestCostModelNeverPricedAboveFlat(t *testing.T) {
+	circuits := []*circuit.Circuit{supremacy(12, 16, 21), supremacy(11, 20, 22)}
+	for seed := int64(0); seed < 4; seed++ {
+		circuits = append(circuits, circuit.RandomCircuit(10, 80, seed))
+	}
+	var sumPriced, sumFlat float64
+	for ci, c := range circuits {
+		for _, l := range []int{5, 8, c.N} {
+			priced := DefaultOptions(l)
+			flat := priced
+			flat.PassCost = nil
+			pp := assertPlanEquivalent(t, c, priced)
+			pf := assertPlanEquivalent(t, c, flat)
+			cp, cf := planCost(pp, priced.PassCost), planCost(pf, priced.PassCost)
+			if cp > cf {
+				t.Errorf("circuit %d l=%d: priced plan costs %.2f ns/amp, flat plan %.2f", ci, l, cp, cf)
+			}
+			sumPriced += cp
+			sumFlat += cf
+			for i := range pp.Ops {
+				if op := &pp.Ops[i]; op.Kind == OpCluster && len(op.Positions) > 2 {
+					t.Errorf("circuit %d l=%d: dense %d-qubit cluster under the default table", ci, l, len(op.Positions))
+				}
+			}
+		}
+	}
+	if sumPriced >= sumFlat {
+		t.Errorf("priced plans cost %.1f ns/amp in total, flat plans %.1f: pricing chose nothing cheaper", sumPriced, sumFlat)
+	}
+}
+
+// TestStatsCountEveryPass checks that the plan's counts add up to its op
+// list: every non-swap op is a cluster, a specialized global diagonal or
+// an unfused local permutation, and the diagonal clusters are exactly the
+// OpDiagonal passes that are not specialized global diagonals.
+func TestStatsCountEveryPass(t *testing.T) {
+	c := supremacy(16, 25, 23)
+	for _, l := range []int{10, 16} {
+		for _, flat := range []bool{false, true} {
+			opts := DefaultOptions(l)
+			if flat {
+				opts.PassCost = nil
+			}
+			plan, err := Build(c, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nonSwap, diagonal := 0, 0
+			for i := range plan.Ops {
+				switch plan.Ops[i].Kind {
+				case OpSwap:
+					continue
+				case OpDiagonal:
+					diagonal++
+				}
+				nonSwap++
+			}
+			st := plan.Stats
+			if got := st.Clusters + st.DiagonalOps + st.LocalPerms - st.FusedPerms; got != nonSwap {
+				t.Errorf("l=%d flat=%v: clusters %d + diag ops %d + unfused perms %d = %d, plan has %d non-swap ops",
+					l, flat, st.Clusters, st.DiagonalOps, st.LocalPerms-st.FusedPerms, got, nonSwap)
+			}
+			if st.DiagonalClusters != diagonal-st.DiagonalOps {
+				t.Errorf("l=%d flat=%v: %d diagonal clusters, plan has %d OpDiagonal passes and %d global diagonals",
+					l, flat, st.DiagonalClusters, diagonal, st.DiagonalOps)
+			}
 		}
 	}
 }
