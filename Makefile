@@ -85,6 +85,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ckpt -fuzz FuzzShardDecode -fuzztime 10s
 	$(GO) test ./internal/ckpt -fuzz FuzzManifestDecode -fuzztime 10s
 	$(GO) test ./internal/kernels -fuzz FuzzBitPermutation -fuzztime 10s
+	$(GO) test ./internal/kernels -fuzz FuzzApplyDiagonal -fuzztime 10s
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -118,13 +119,14 @@ bench-telemetry:
 
 # Single-precision kernel-suite baseline: per-k f32-vs-f64 Specialized
 # kernel pairs on a 1 GiB state, the per-gate supremacy-circuit precision
-# pair (every gate k ≤ 2), and the kmax=5 fused-vs-unfused execution pair,
+# pair (every gate k ≤ 2), the default plan's fused-vs-unfused execution
+# pair, and the diagonal sweep per position shape in both precisions,
 # recorded (with the derived f32/f64 and fused/separate speedups) in
 # BENCH_kernels.json. Three repetitions; benchjson keeps the fastest of
 # each, which also drops the first-touch page-fault cost of the 1 GiB
 # state allocations.
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'BenchmarkKernelPrecision|BenchmarkCircuitPrecision|BenchmarkKernelFusion' -benchtime 3x -count 3 -timeout 60m . | $(GO) run ./cmd/benchjson > BENCH_kernels.json
+	$(GO) test -run '^$$' -bench 'BenchmarkKernelPrecision|BenchmarkCircuitPrecision|BenchmarkKernelFusion|BenchmarkDiagonal' -benchtime 3x -count 3 -timeout 60m . | $(GO) run ./cmd/benchjson > BENCH_kernels.json
 
 # Out-of-core prefetch baseline: the circuit-aware prefetch pipeline vs the
 # reactive one-pass-per-op baseline on a 28-qubit (4 GiB state file) run,

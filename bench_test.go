@@ -7,6 +7,8 @@ package qusim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -606,6 +608,62 @@ func BenchmarkKernelFusion(b *testing.B) {
 				if err := plan.Run(v); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkDiagonal records the diagonal sweep per position shape
+// (BENCH_kernels.json via make bench-kernels), in both precisions, on a
+// 2^24-amplitude state (beyond the last-level cache). The shapes cover
+// the sweep's cases (DESIGN.md §12): every position below 13 (one period
+// replayed over the whole state), low positions with a high one (one
+// list per block, lowest position 0 and 2), and lowest position ≥ 6
+// (segments of ≥ 64 amplitudes). The entries are those of a fused
+// T·CZ-chain cluster: 1, −1 and ±e^{iπ/4}.
+func BenchmarkDiagonal(b *testing.B) {
+	const n = 24
+	shapes := []struct {
+		name string
+		qs   []int
+	}{
+		{"period", []int{0, 1, 2, 3, 4}},
+		{"blocked-q0", []int{0, 3, 7, 12, 17}},
+		{"blocked-q2", []int{2, 5, 9, 14, 19}},
+		{"run", []int{7, 12, 18, 22}},
+	}
+	for _, s := range shapes {
+		d := make([]complex128, 1<<len(s.qs))
+		for x := range d {
+			d[x] = 1
+			if bits.OnesCount(uint(x&(x>>1)))%2 == 1 {
+				d[x] = -1
+			}
+			if x&1 == 1 {
+				d[x] *= complex(math.Sqrt2/2, math.Sqrt2/2)
+			}
+		}
+		b.Run(s.name+"/f64", func(b *testing.B) {
+			amps := make([]complex128, 1<<n)
+			for j := range amps {
+				amps[j] = 1
+			}
+			b.SetBytes(int64(len(amps) * 16 * 2))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				kernels.ApplyDiagonal(amps, d, s.qs)
+			}
+		})
+		d32 := kernels.ToComplex64(d)
+		b.Run(s.name+"/f32", func(b *testing.B) {
+			amps := make([]complex64, 1<<n)
+			for j := range amps {
+				amps[j] = 1
+			}
+			b.SetBytes(int64(len(amps) * 8 * 2))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				kernels.ApplyDiagonalF32(amps, d32, s.qs)
 			}
 		})
 	}

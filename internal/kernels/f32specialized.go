@@ -290,93 +290,6 @@ func apply5F32(amps, m []complex64, qs []int) {
 	})
 }
 
-// ApplyDiagonalF32 multiplies each amplitude by the diagonal entry selected
-// by the bits of its index at positions qs — the single-precision twin of
-// ApplyDiagonal (Sec. 3.5 gate specialization). Same run-blocked sweep as
-// the double-precision kernel (one entry per contiguous 2^qs[0]-amplitude
-// run, unit entries skipped), with the complex multiply on split float32
-// scalars.
-//
-//qusim:hot
-func ApplyDiagonalF32(amps []complex64, d []complex64, qs []int) {
-	k := len(qs)
-	if len(d) != 1<<k {
-		panic("kernels: diagonal length mismatch")
-	}
-	if k == 0 {
-		if d[0] != 1 {
-			ScaleF32(amps, d[0])
-		}
-		return
-	}
-	q0 := qs[0]
-	if q0 < diagRunMin && qs[k-1] < diagPeriodMax {
-		applyDiagPeriodF32(amps, d, qs)
-		return
-	}
-	runs := len(amps) >> q0
-	par.For(runs, max(1, 4096>>q0), func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			base := r << q0
-			x := 0
-			for j := 0; j < k; j++ {
-				x |= (base >> qs[j] & 1) << j
-			}
-			dx := d[x]
-			if dx == 1 {
-				continue
-			}
-			blk := amps[base : base+1<<q0 : base+1<<q0]
-			if dx == -1 { // CZ / Z-type entries: negate, no multiply
-				for j := range blk {
-					blk[j] = -blk[j]
-				}
-				continue
-			}
-			dxr, dxi := real(dx), imag(dx)
-			for j := range blk {
-				a := blk[j]
-				ar, ai := real(a), imag(a)
-				blk[j] = complex(ar*dxr-ai*dxi, ai*dxr+ar*dxi)
-			}
-		}
-	})
-}
-
-// applyDiagPeriodF32 is the single-precision twin of applyDiagPeriod: the
-// low-position diagonal sweep replaying compiled non-unit segments, with
-// the multiply on split float32 scalars.
-//
-//qusim:hot
-func applyDiagPeriodF32(amps []complex64, d []complex64, qs []int) {
-	period := 1 << (qs[len(qs)-1] + 1)
-	segs := diagSegments(d, qs, period)
-	if len(segs) == 0 {
-		return
-	}
-	blocks := len(amps) / period
-	par.For(blocks, max(1, 8192/period), func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			base := b * period
-			for _, s := range segs {
-				blk := amps[base+s.off : base+s.off+s.n : base+s.off+s.n]
-				if s.dx == -1 {
-					for j := range blk {
-						blk[j] = -blk[j]
-					}
-					continue
-				}
-				dxr, dxi := real(s.dx), imag(s.dx)
-				for j := range blk {
-					a := blk[j]
-					ar, ai := real(a), imag(a)
-					blk[j] = complex(ar*dxr-ai*dxi, ai*dxr+ar*dxi)
-				}
-			}
-		}
-	})
-}
-
 // ScaleF32 multiplies every amplitude by s (global-phase absorption).
 //
 //qusim:hot

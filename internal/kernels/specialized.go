@@ -190,154 +190,6 @@ func apply5(amps, m []complex128, qs []int) {
 	})
 }
 
-// ApplyDiagonal multiplies each amplitude by the diagonal entry selected by
-// the bits of its index at positions qs. This is the no-communication,
-// no-matvec fast path that gate specialization (Sec. 3.5) exploits.
-//
-// The index bits at qs are constant across each contiguous run of 2^qs[0]
-// amplitudes, so the sweep walks runs: one entry lookup per run, then a
-// tight multiply loop — and runs whose entry is exactly 1 are skipped
-// outright, which for the phase-type diagonals of the supremacy gate set
-// (T, S, CZ, controlled-phase) leaves most of the state untouched.
-//
-//qusim:hot
-func ApplyDiagonal(amps []complex128, d []complex128, qs []int) {
-	k := len(qs)
-	if len(d) != 1<<k {
-		panic("kernels: diagonal length mismatch")
-	}
-	if k == 0 {
-		if d[0] != 1 {
-			Scale(amps, d[0])
-		}
-		return
-	}
-	q0 := qs[0]
-	if q0 < diagRunMin && qs[k-1] < diagPeriodMax {
-		// Short runs: per-run dispatch overhead would dominate. The entry
-		// pattern repeats every 2^(qs[k-1]+1) indices, so precompute one
-		// period's worth of non-unit segments and replay it across the state.
-		applyDiagPeriod(amps, d, qs)
-		return
-	}
-	runs := len(amps) >> q0
-	par.For(runs, max(1, 4096>>q0), func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			base := r << q0
-			x := 0
-			for j := 0; j < k; j++ {
-				x |= (base >> qs[j] & 1) << j
-			}
-			dx := d[x]
-			if dx == 1 {
-				continue
-			}
-			blk := amps[base : base+1<<q0 : base+1<<q0]
-			if dx == -1 { // CZ / Z-type entries: negate, no multiply
-				for j := range blk {
-					blk[j] = -blk[j]
-				}
-				continue
-			}
-			for j := range blk {
-				blk[j] *= dx
-			}
-		}
-	})
-}
-
-// diagRunMin and diagPeriodMax pick between the two diagonal sweeps: runs
-// of at least 2^diagRunMin amplitudes amortize the per-run entry lookup;
-// below that the period replay takes over as long as its table stays
-// comfortably inside L1 (2^(diagPeriodMax+1) index period).
-const (
-	diagRunMin    = 6
-	diagPeriodMax = 13
-)
-
-// diagSegment is one maximal run of identical non-unit diagonal entries
-// within a period of the index pattern.
-type diagSegment[T complexAmp] struct {
-	off, n int
-	dx     T
-}
-
-// complexAmp constrains the two amplitude element types.
-type complexAmp interface{ complex64 | complex128 }
-
-// diagSegments compiles the entries of d hit across one period of the
-// index pattern into maximal contiguous non-unit segments.
-func diagSegments[T complexAmp](d []T, qs []int, period int) []diagSegment[T] {
-	k := len(qs)
-	entry := func(i int) T {
-		x := 0
-		for j := 0; j < k; j++ {
-			x |= (i >> qs[j] & 1) << j
-		}
-		return d[x]
-	}
-	var segs []diagSegment[T]
-	for i := 0; i < period; {
-		dx := entry(i)
-		if dx == 1 {
-			i++
-			continue
-		}
-		start := i
-		for i < period && entry(i) == dx {
-			i++
-		}
-		segs = append(segs, diagSegment[T]{off: start, n: i - start, dx: dx})
-	}
-	return segs
-}
-
-// applyDiagPeriod replays the compiled non-unit segments of one index
-// period across the state — the low-position diagonal sweep: no per-index
-// bit extraction, and indices with unit entries are never visited.
-//
-//qusim:hot
-func applyDiagPeriod(amps []complex128, d []complex128, qs []int) {
-	period := 1 << (qs[len(qs)-1] + 1)
-	segs := diagSegments(d, qs, period)
-	if len(segs) == 0 {
-		return
-	}
-	blocks := len(amps) / period
-	par.For(blocks, max(1, 8192/period), func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			base := b * period
-			for _, s := range segs {
-				blk := amps[base+s.off : base+s.off+s.n : base+s.off+s.n]
-				if s.dx == -1 {
-					for j := range blk {
-						blk[j] = -blk[j]
-					}
-					continue
-				}
-				for j := range blk {
-					blk[j] *= s.dx
-				}
-			}
-		}
-	})
-}
-
-// ApplyCZ applies a controlled-Z between bit positions a and b without a
-// matrix: amplitudes with both bits set are negated.
-//
-//qusim:hot
-func ApplyCZ(amps []complex128, a, b int) {
-	mask := 1<<a | 1<<b
-	par.For(len(amps), 4096, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if i&mask == mask {
-				amps[i] = -amps[i]
-			}
-		}
-	})
-}
-
 // Scale multiplies every amplitude by s (global-phase absorption and the
 // conditional global phase of Sec. 3.5).
 //
